@@ -37,7 +37,6 @@ from repro.core import (
     FdStatistics,
     MeasureClass,
     all_measures,
-    default_measures,
     get_measure,
     measure_names,
     measures_by_class,
@@ -95,7 +94,6 @@ __all__ = [
     "all_measures",
     "benchmark_specs",
     "brute_force_afds",
-    "default_measures",
     "discover_afds",
     "lattice_discover",
     "minimal_cover",

@@ -39,7 +39,6 @@ from repro.core.shannon import (
 )
 from repro.core.registry import (
     all_measures,
-    default_measures,
     get_measure,
     measure_names,
     measures_by_class,
@@ -69,7 +68,6 @@ __all__ = [
     "all_measures",
     "available_backends",
     "compute_chunked",
-    "default_measures",
     "get_default_backend",
     "get_measure",
     "measure_names",

@@ -115,16 +115,10 @@ def iter_measures(**kwargs) -> Iterator[Tuple[str, AfdMeasure]]:
     yield from all_measures(**kwargs).items()
 
 
-def all_measures(
-    expectation: str = "exact",
-    mc_samples: int = 200,
-    sfi_alpha: float = 0.5,
-    seed: Optional[int] = 0,
-) -> Dict[str, AfdMeasure]:
+def all_measures(sfi_alpha: float = 0.5) -> Dict[str, AfdMeasure]:
     """Fresh instances of all fourteen measures, keyed by name.
 
-    ``expectation`` selects the permutation-expectation strategy used by
-    RFI+ and RFI'+ (``"exact"`` or ``"monte-carlo"``).  Measures added via
+    ``sfi_alpha`` is SFI's smoothing parameter.  Measures added via
     :func:`register_measure` are appended after the canonical fourteen.
     """
     measures: List[AfdMeasure] = [
@@ -134,8 +128,8 @@ def all_measures(
         G3PrimeMeasure(),
         GS1Measure(),
         FIMeasure(),
-        RfiPlusMeasure(expectation=expectation, samples=mc_samples, seed=seed),
-        RfiPrimePlusMeasure(expectation=expectation, samples=mc_samples, seed=seed),
+        RfiPlusMeasure(),
+        RfiPrimePlusMeasure(),
         SfiMeasure(alpha=sfi_alpha),
         G1Measure(),
         G1PrimeMeasure(),
@@ -156,11 +150,6 @@ def all_measures(
     for name, factory in _EXTRA_MEASURES.items():
         result[name] = factory()
     return result
-
-
-def default_measures(**kwargs) -> Dict[str, AfdMeasure]:
-    """Alias of :func:`all_measures` with default parameters."""
-    return all_measures(**kwargs)
 
 
 def fast_measures() -> Dict[str, AfdMeasure]:

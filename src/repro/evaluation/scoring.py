@@ -32,23 +32,13 @@ class MeasureConfig:
     the harness's per-table ``jobs``).
     """
 
-    expectation: str = "exact"
-    mc_samples: int = 200
     sfi_alpha: float = 0.5
-    seed: Optional[int] = 0
     backend: Optional[str] = None
     chunk_size: Optional[int] = None
     chunk_jobs: int = 1
 
     def build(self) -> Dict[str, AfdMeasure]:
-        return dict(
-            iter_measures(
-                expectation=self.expectation,
-                mc_samples=self.mc_samples,
-                sfi_alpha=self.sfi_alpha,
-                seed=self.seed,
-            )
-        )
+        return dict(iter_measures(sfi_alpha=self.sfi_alpha))
 
 
 @dataclass

@@ -7,7 +7,7 @@ Examples::
 
     # the full-paper configuration (same code path, bigger grid)
     python -m repro.experiments --benchmark err --steps 50 --tables-per-step 50 \
-        --max-rows 10000 --expectation exact --jobs 8
+        --max-rows 10000 --jobs 8
 
     # multi-attribute lattice discovery over the RWD benchmark
     python -m repro.experiments --benchmark discovery --max-lhs-size 2
@@ -82,6 +82,13 @@ DEFAULT_BENCH_PATHS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -93,10 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="err",
         help="which experiment to run (default: err)",
     )
-    parser.add_argument("--steps", type=int, default=5, help="sweep steps (default: 5)")
+    parser.add_argument("--steps", type=_positive_int, default=5, help="sweep steps (default: 5)")
     parser.add_argument(
         "--tables-per-step",
-        type=int,
+        type=_positive_int,
         default=3,
         help="B+/B- tables per step and subset (default: 3)",
     )
@@ -113,19 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1000,
         help="maximum table size (paper: 10000; default: 1000 for laptop runs)",
-    )
-    parser.add_argument(
-        "--expectation",
-        choices=("exact", "monte-carlo"),
-        default="monte-carlo",
-        help="permutation-expectation strategy for RFI+/RFI'+ "
-        "(default: monte-carlo; the paper uses exact)",
-    )
-    parser.add_argument(
-        "--mc-samples",
-        type=int,
-        default=100,
-        help="Monte-Carlo samples for the permutation expectation (default: 100)",
     )
     parser.add_argument(
         "--sfi-alpha", type=float, default=0.5, help="SFI smoothing parameter (default: 0.5)"
@@ -339,8 +333,6 @@ def _run_sensitivity(
         seed=args.seed,
         min_rows=args.min_rows,
         max_rows=args.max_rows,
-        expectation=args.expectation,
-        mc_samples=args.mc_samples,
         sfi_alpha=args.sfi_alpha,
         backend=args.backend,
     )
@@ -365,8 +357,6 @@ def _run_rwde(args: argparse.Namespace, output_dir: Optional[str]) -> None:
         num_rows=args.rwde_num_rows,
         seed=args.seed if args.seed is not None else 0,
         jobs=args.jobs,
-        expectation=args.expectation,
-        mc_samples=args.mc_samples,
         sfi_alpha=args.sfi_alpha,
         backend=args.backend,
     )
@@ -392,8 +382,6 @@ def _run_discovery(args: argparse.Namespace, output_dir: Optional[str]) -> None:
         max_lhs_size=args.max_lhs_size,
         threshold=args.discovery_threshold,
         g3_bound=args.g3_bound,
-        expectation=args.expectation,
-        mc_samples=args.mc_samples,
         sfi_alpha=args.sfi_alpha,
         backend=args.backend,
     )
@@ -467,8 +455,6 @@ def _run_runtime(args: argparse.Namespace, output_dir: Optional[str]) -> None:
         sizes=sizes,
         backends=backends,
         repeats=repeats,
-        expectation=args.expectation,
-        mc_samples=args.mc_samples,
         sfi_alpha=args.sfi_alpha,
         chunked_sizes=chunked_sizes,
         chunk_size=chunk_size,
@@ -582,8 +568,6 @@ def _run_streaming(args: argparse.Namespace, output_dir: Optional[str]) -> None:
         batches=batches,
         batch_size=args.streaming_batch_size,
         delete_fraction=args.streaming_delete_fraction,
-        expectation=args.expectation,
-        mc_samples=args.mc_samples,
         sfi_alpha=args.sfi_alpha,
     )
     bench_path = _bench_path(args, "streaming")
@@ -645,8 +629,6 @@ def _run_service(args: argparse.Namespace, output_dir: Optional[str]) -> None:
         requests_per_thread=requests,
         repeats=repeats,
         workers=workers,
-        expectation=args.expectation,
-        mc_samples=args.mc_samples,
         sfi_alpha=args.sfi_alpha,
         backend=backend,
     )
@@ -731,8 +713,6 @@ def _run_properties(
         seed=args.seed,
         min_rows=args.min_rows,
         max_rows=args.max_rows,
-        expectation=args.expectation,
-        mc_samples=args.mc_samples,
         sfi_alpha=args.sfi_alpha,
         backend=args.backend,
     )

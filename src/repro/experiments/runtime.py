@@ -52,11 +52,9 @@ class RuntimeConfig:
     ``sizes`` are the row counts of the fixed relations (ascending; the
     last one is "the largest fixed relation" the speedup headline is
     reported for).  ``backends`` restricts the backend set (default:
-    every backend available in the process).  The default expectation is
-    Monte-Carlo: the exact hypergeometric expectation is Table V's
-    documented pain point and would dominate the wall-clock of every
-    backend equally, drowning the statistics-pass comparison this
-    benchmark exists to track.
+    every backend available in the process).  RFI+/RFI'+ use the exact
+    permutation expectation, summed over count spectra, and SFI its
+    closed form, so the measure timings are those of the exact measures.
     """
 
     sizes: Tuple[int, ...] = (1_000, 5_000, 20_000)
@@ -64,10 +62,7 @@ class RuntimeConfig:
     repeats: int = 5
     warmup_runs: int = 1
     seed: int = 97
-    expectation: str = "monte-carlo"
-    mc_samples: int = 50
     sfi_alpha: float = 0.5
-    measure_seed: int = 0
     #: Row counts of the chunked-scaling section (empty tuple disables
     #: it).  Each relation is timed single-chunk (monolithic compute) vs
     #: chunked map-merge at every ``chunked_jobs`` worker count, per
@@ -94,13 +89,7 @@ class RuntimeConfig:
         return tuple(chosen)
 
     def measure_config(self, backend: str) -> MeasureConfig:
-        return MeasureConfig(
-            expectation=self.expectation,
-            mc_samples=self.mc_samples,
-            sfi_alpha=self.sfi_alpha,
-            seed=self.measure_seed,
-            backend=backend,
-        )
+        return MeasureConfig(sfi_alpha=self.sfi_alpha, backend=backend)
 
 
 #: Smoke-scale override used by ``--smoke`` (CI): small fixed relations,
@@ -467,10 +456,11 @@ def run_discovery_smoke(
     ceiling a materialised list of 10M row tuples (≥ 500 MB of tuple+int
     overhead alone) cannot fit, so passing proves the pipeline never
     built one.  Scoring uses the paper's "efficiently computable"
-    measure subset: SFI's smoothed ``|dom(X)| x |dom(Y)|`` table and the
-    permutation expectations' O(rows) sampling columns are inherent to
-    those measures (not to the pipeline) and would dominate the traced
-    peak without touching the row-list property under test.  Returns the
+    measure subset: the exact permutation expectation of RFI+/RFI'+
+    builds a log-factorial table of ``num_rows + 1`` floats, which is
+    inherent to that measure (not to the pipeline) and would dominate
+    the traced peak without touching the row-list property under test.
+    Returns the
     timings, peak and discovery counters for the bench payload.
     """
     import tracemalloc

@@ -15,7 +15,7 @@ raw rows.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Sequence
 
 from repro.relation.attribute import canonical_attributes
 from repro.relation.relation import Relation, Row
@@ -71,22 +71,3 @@ def group_counts(
         groups.setdefault(x, Counter())[y] += count
     return groups
 
-
-def contingency_table(
-    relation: Relation, lhs: Iterable[str] | str, rhs: Iterable[str] | str
-) -> Tuple[list, list, list]:
-    """A dense contingency table of ``lhs`` x ``rhs`` value combinations.
-
-    Returns ``(x_values, y_values, table)`` where ``table[i][j]`` is the
-    multiplicity of ``(x_values[i], y_values[j])`` in ``relation``.  Used by
-    the smoothed-FI measure and by the exact permutation-model expectation.
-    """
-    joint = joint_counts(relation, lhs, rhs)
-    x_values = sorted({x for (x, _y) in joint}, key=repr)
-    y_values = sorted({y for (_x, y) in joint}, key=repr)
-    x_index = {x: i for i, x in enumerate(x_values)}
-    y_index = {y: j for j, y in enumerate(y_values)}
-    table = [[0 for _ in y_values] for _ in x_values]
-    for (x, y), count in joint.items():
-        table[x_index[x]][y_index[y]] = count
-    return x_values, y_values, table

@@ -193,8 +193,8 @@ class ProfileRequest:
 
     ``measures=None`` means "every measure the session holds" — the
     session, not the request, owns the measure parameterisation
-    (expectation strategy, smoothing, backend), so requests stay small
-    and cacheable.
+    (SFI's smoothing parameter, backend), so requests stay small and
+    cacheable.
     """
 
     fd: FunctionalDependency

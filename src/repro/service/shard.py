@@ -342,13 +342,20 @@ class ShardDispatcher:
 
     Single-threaded by construction: every method runs on the server's
     event loop (submissions from the HTTP handler, replies from the
-    worker-pipe readers registered via ``add_reader``), so no locking is
-    needed.  Callbacks receive ``(status, body)`` where ``body`` is
-    pre-encoded JSON bytes (or a dict for locally-generated errors).
+    worker-pipe readers registered via ``add_reader`` and dropped via
+    ``remove_reader`` when a worker dies), so no locking is needed.
+    Callbacks receive ``(status, body)`` where ``body`` is pre-encoded
+    JSON bytes (or a dict for locally-generated errors).
     """
 
-    def __init__(self, pool: ShardPool, add_reader: Callable[[object, Callable], None]):
+    def __init__(
+        self,
+        pool: ShardPool,
+        add_reader: Callable[[object, Callable], None],
+        remove_reader: Callable[[object], None],
+    ):
         self._pool = pool
+        self._remove_reader = remove_reader
         workers = pool.num_workers
         self._queues: List[Deque[_Queued]] = [deque() for _ in range(workers)]
         self._busy = [False] * workers
@@ -522,15 +529,21 @@ class ShardDispatcher:
         connection = self._pool.connections[worker_id]
         try:
             reply = connection.recv()
-        except (EOFError, OSError):  # pragma: no cover - worker died
+        except (EOFError, OSError):
+            # The worker died: fail its in-flight request, stop watching
+            # the dead pipe, and re-pump so that queued and later
+            # requests fail fast in ``_send`` instead of waiting forever.
             inflight = self._inflight[worker_id]
             self._inflight[worker_id] = None
+            self._busy[worker_id] = False
+            self._remove_reader(connection)
             error = ServiceError("internal_error", f"shard worker {worker_id} died")
             if inflight is not None:
                 kind, target = inflight[0], inflight[1]
                 callbacks = target if kind == "split" else [target]
                 for callback in callbacks:
                     callback(error.status, error.envelope())
+            self._pump(worker_id)
             return
         kind_target = self._inflight[worker_id]
         self._inflight[worker_id] = None

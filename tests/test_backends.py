@@ -14,6 +14,7 @@ fallback resolution, integer-precision caching) also run in the
 no-numpy CI job.
 """
 
+import math
 import random
 from collections import Counter
 
@@ -28,7 +29,10 @@ from repro.core.backends import (
     resolve_backend,
     set_default_backend,
 )
+from repro.core.expectations import expected_mutual_information_exact
+from repro.core.shannon import SfiMeasure
 from repro.core.statistics import FdStatistics
+from repro.info.shannon import entropy_of_counts
 from repro.relation import FunctionalDependency, Relation
 
 try:
@@ -127,7 +131,7 @@ def test_backend_parity_on_random_relations(seed):
     python_statistics = FdStatistics.compute(relation, fd, backend="python")
     numpy_statistics = FdStatistics.compute(relation, fd, backend="numpy")
     _assert_identical_statistics(python_statistics, numpy_statistics)
-    for name, measure in all_measures(expectation="exact").items():
+    for name, measure in all_measures().items():
         python_score = measure.score_from_statistics(python_statistics)
         numpy_score = measure.score_from_statistics(numpy_statistics)
         assert python_score == numpy_score, (name, python_score, numpy_score)
@@ -140,24 +144,77 @@ def test_backend_parity_on_degenerate_relations(case):
     python_statistics = FdStatistics.compute(case, fd, backend="python")
     numpy_statistics = FdStatistics.compute(case, fd, backend="numpy")
     _assert_identical_statistics(python_statistics, numpy_statistics)
-    for name, measure in all_measures(expectation="exact").items():
+    for name, measure in all_measures().items():
         assert measure.score_from_statistics(
             python_statistics
         ) == measure.score_from_statistics(numpy_statistics), name
 
 
-@requires_numpy
-def test_backend_parity_with_monte_carlo_expectation():
-    """The seeded Monte-Carlo expectation is deterministic per backend pair."""
-    relation = random_relation(3)
-    fd = random_fd(relation, 42)
-    python_statistics = FdStatistics.compute(relation, fd, backend="python")
-    numpy_statistics = FdStatistics.compute(relation, fd, backend="numpy")
-    measures = all_measures(expectation="monte-carlo", mc_samples=25)
-    for name in ("rfi_plus", "rfi_prime_plus"):
-        assert measures[name].score_from_statistics(
-            python_statistics
-        ) == measures[name].score_from_statistics(numpy_statistics), name
+# ----------------------------------------------------------------------
+# Exact E[I] and closed-form SFI against the naive computations
+# ----------------------------------------------------------------------
+def naive_expected_mutual_information(x_counts, y_counts):
+    """Oracle: the hypergeometric E[I] (base 2), one term per pair of values.
+
+    The direct triple loop over every ``(x, y)`` pair of domain values
+    and every feasible cell count — the cost model of the paper's
+    Table V, kept here to check the count-spectrum sum.
+    """
+    a = [count for count in x_counts if count > 0]
+    b = [count for count in y_counts if count > 0]
+    n = sum(a)
+    if n <= 1:
+        return 0.0
+    log_factorial = [0.0] * (n + 1)
+    for value in range(2, n + 1):
+        log_factorial[value] = log_factorial[value - 1] + math.log(value)
+
+    def log_choose(total, chosen):
+        return log_factorial[total] - log_factorial[chosen] - log_factorial[total - chosen]
+
+    expected = 0.0
+    for a_i in a:
+        for b_j in b:
+            for n_ij in range(max(1, a_i + b_j - n), min(a_i, b_j) + 1):
+                probability = math.exp(
+                    log_choose(b_j, n_ij) + log_choose(n - b_j, a_i - n_ij) - log_choose(n, a_i)
+                )
+                expected += probability * (n_ij / n) * math.log2(n * n_ij / (a_i * b_j))
+    return max(expected, 0.0)
+
+
+def smoothed_table_sfi(statistics, alpha):
+    """Oracle: FI on the explicit α-smoothed ``dom(X) x dom(Y)`` table."""
+    smoothed = {
+        (x, y): statistics.xy_counts.get((x, y), 0) + alpha
+        for x in statistics.x_counts
+        for y in statistics.y_counts
+    }
+    x_counts, y_counts = Counter(), Counter()
+    for (x, y), count in smoothed.items():
+        x_counts[x] += count
+        y_counts[y] += count
+    h_y = entropy_of_counts(y_counts)
+    if h_y <= 0.0:
+        return 1.0
+    h_y_given_x = max(entropy_of_counts(smoothed) - entropy_of_counts(x_counts), 0.0)
+    return 1.0 - h_y_given_x / h_y
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_exact_expectation_and_sfi_match_naive_oracles(seed):
+    relation = random_relation(seed)
+    statistics = FdStatistics.compute(relation, random_fd(relation, seed + 10_000))
+    x_counts = list(statistics.x_counts.values())
+    y_counts = list(statistics.y_counts.values())
+    if statistics.num_rows:
+        assert expected_mutual_information_exact(x_counts, y_counts) == pytest.approx(
+            naive_expected_mutual_information(x_counts, y_counts), abs=1e-12
+        )
+    for alpha in (0.5, 1.0, 2.0):
+        assert SfiMeasure(alpha)._score_violated(statistics) == pytest.approx(
+            smoothed_table_sfi(statistics, alpha), abs=1e-12
+        ), alpha
 
 
 @requires_numpy
@@ -336,7 +393,7 @@ def test_evaluate_specs_bit_identical_across_backends():
     from repro.synthetic.benchmarks import benchmark_specs
 
     specs = benchmark_specs("err", steps=2, tables_per_step=1, max_rows=120)
-    config = MeasureConfig(expectation="monte-carlo", mc_samples=10)
+    config = MeasureConfig()
     python_result = evaluate_specs(specs, config, backend="python")
     numpy_result = evaluate_specs(specs, config, backend="numpy")
     for python_row, numpy_row in zip(python_result.rows, numpy_result.rows):
@@ -361,11 +418,22 @@ def test_discovery_bit_identical_across_backends():
 # ----------------------------------------------------------------------
 @requires_numpy
 def test_runtime_driver_smoke(tmp_path):
-    from repro.experiments.runtime import RuntimeConfig, run_runtime
+    from repro.experiments.runtime import (
+        SMOKE_CHUNK_SIZE,
+        SMOKE_CHUNKED_SIZES,
+        RuntimeConfig,
+        run_runtime,
+    )
 
     bench_path = tmp_path / "BENCH_runtime.json"
     payload = run_runtime(
-        RuntimeConfig(sizes=(120, 300), repeats=2, warmup_runs=1, mc_samples=5),
+        RuntimeConfig(
+            sizes=(120, 300),
+            repeats=2,
+            warmup_runs=1,
+            chunked_sizes=SMOKE_CHUNKED_SIZES,
+            chunk_size=SMOKE_CHUNK_SIZE,
+        ),
         output_dir=str(tmp_path / "results"),
         bench_path=str(bench_path),
     )
@@ -390,10 +458,21 @@ def test_runtime_driver_smoke(tmp_path):
 
 @requires_numpy
 def test_runtime_single_backend_has_no_speedup(tmp_path):
-    from repro.experiments.runtime import RuntimeConfig, run_runtime
+    from repro.experiments.runtime import (
+        SMOKE_CHUNK_SIZE,
+        SMOKE_CHUNKED_SIZES,
+        RuntimeConfig,
+        run_runtime,
+    )
 
     payload = run_runtime(
-        RuntimeConfig(sizes=(80,), backends=("python",), repeats=1, mc_samples=5),
+        RuntimeConfig(
+            sizes=(80,),
+            backends=("python",),
+            repeats=1,
+            chunked_sizes=SMOKE_CHUNKED_SIZES,
+            chunk_size=SMOKE_CHUNK_SIZE,
+        ),
         output_dir=None,
         bench_path=None,
     )

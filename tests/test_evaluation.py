@@ -20,8 +20,6 @@ from repro.evaluation import (
 from repro.evaluation.harness import EvaluationResult
 from repro.synthetic import benchmark_specs, build_err_benchmark
 
-FAST_CONFIG = MeasureConfig(expectation="monte-carlo", mc_samples=20)
-
 
 # ----------------------------------------------------------------------
 # PR-AUC on known rankings
@@ -176,7 +174,7 @@ def tiny_specs():
 
 
 def test_evaluate_specs_scores_all_fourteen_measures(tiny_specs):
-    result = evaluate_specs(tiny_specs, FAST_CONFIG, jobs=1)
+    result = evaluate_specs(tiny_specs, MeasureConfig(), jobs=1)
     assert len(result.measure_names) == 14
     assert len(result.rows) == len(tiny_specs)
     assert sum(result.labels()) == len(tiny_specs) // 2
@@ -187,15 +185,15 @@ def test_evaluate_specs_scores_all_fourteen_measures(tiny_specs):
 
 
 def test_parallel_scores_identical_to_sequential(tiny_specs):
-    sequential = evaluate_specs(tiny_specs, FAST_CONFIG, jobs=1)
-    parallel = evaluate_specs(tiny_specs, FAST_CONFIG, jobs=2)
+    sequential = evaluate_specs(tiny_specs, MeasureConfig(), jobs=1)
+    parallel = evaluate_specs(tiny_specs, MeasureConfig(), jobs=2)
     for row_a, row_b in zip(sequential.rows, parallel.rows):
         assert row_a.table == row_b.table
         assert row_a.scores == row_b.scores  # bit-identical floats
 
 
 def test_step_curves_cover_all_steps(tiny_specs):
-    result = evaluate_specs(tiny_specs, FAST_CONFIG, jobs=1)
+    result = evaluate_specs(tiny_specs, MeasureConfig(), jobs=1)
     curves = result.step_curves()
     assert set(curves) == set(result.measure_names)
     for points in curves.values():
@@ -206,14 +204,14 @@ def test_step_curves_cover_all_steps(tiny_specs):
 
 def test_evaluate_benchmark_matches_evaluate_specs(tiny_specs):
     benchmark = build_err_benchmark(steps=2, tables_per_step=2, max_rows=300)
-    eager = evaluate_benchmark(benchmark, FAST_CONFIG)
-    from_specs = evaluate_specs(tiny_specs, FAST_CONFIG, jobs=1)
+    eager = evaluate_benchmark(benchmark, MeasureConfig())
+    from_specs = evaluate_specs(tiny_specs, MeasureConfig(), jobs=1)
     for row_a, row_b in zip(eager.rows, from_specs.rows):
         assert row_a.scores == row_b.scores
 
 
 def test_zero_error_positives_score_one_on_exactness_measures(tiny_specs):
-    result = evaluate_specs(tiny_specs, FAST_CONFIG, jobs=1)
+    result = evaluate_specs(tiny_specs, MeasureConfig(), jobs=1)
     for row in result.rows:
         if row.positive and row.parameter_value == 0.0:
             assert row.scores["g3"] == 1.0

@@ -20,17 +20,6 @@ from repro.core.registry import MEASURE_ORDER, register_measure, unregister_meas
 from repro.info.shannon import mutual_information
 from repro.relation import FunctionalDependency, Relation
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    HAVE_NUMPY = False
-
-#: The Monte-Carlo permutation expectation needs numpy; everything else
-#: here runs on the pure-python backend and stays in the no-numpy job.
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-
 # The quickstart relation: N=4, groups zip=1000 -> {Brussels: 2, Bruxelles: 1},
 # zip=3590 -> {Diepenbeek: 1}.
 QUICKSTART = Relation(
@@ -86,19 +75,44 @@ def test_tau_and_mu_plus_exact_fractions():
     assert get_measure("mu_plus").score(QUICKSTART, FD) == pytest.approx(1 / 5, abs=1e-12)
 
 
-def test_rfi_measures_against_brute_force_enumeration():
-    """The exact hypergeometric E[I] must equal the 4!-permutation average."""
-    statistics = FdStatistics.compute(QUICKSTART, FD)
-    brute_force = expected_value_by_enumeration(statistics.xy_counts, mutual_information)
-    exact = expected_mutual_information_exact([3, 1], [2, 1, 1])
-    assert exact == pytest.approx(brute_force, abs=1e-9)
+#: Tiny relations (<= 8 rows, so all N! permutations can be enumerated)
+#: where several X values and several Y values share a count: the exact
+#: E[I] sums over distinct counts weighted by their multiplicities, and
+#: these cases exercise multiplicities above one on both sides.
+TINY_CORPUS = {
+    # x counts {3, 1}, y counts {2, 1, 1}
+    "quickstart": QUICKSTART.rows(),
+    # x counts {2, 2, 2}, y counts {2, 2, 2}
+    "pairs": [("a", 1), ("a", 2), ("b", 1), ("b", 3), ("c", 2), ("c", 3)],
+    # x counts {2, 2, 1, 1, 1}, y counts {3, 2, 2}
+    "mixed": [("a", 1), ("a", 2), ("b", 1), ("b", 3), ("c", 1), ("d", 2), ("e", 3)],
+    # x counts {2, 2, 2, 2}, y counts {4, 4}
+    "balanced": [("a", 1), ("a", 2), ("b", 1), ("b", 2), ("c", 1), ("c", 1), ("d", 2), ("d", 2)],
+}
 
-    expected_fi = exact / H_Y
-    rfi = get_measure("rfi_plus").score(QUICKSTART, FD)
-    rfi_prime = get_measure("rfi_prime_plus").score(QUICKSTART, FD)
-    assert rfi == pytest.approx(max(FI - expected_fi, 0.0), abs=1e-9)
+
+@pytest.mark.parametrize("case", sorted(TINY_CORPUS))
+def test_rfi_measures_against_brute_force_enumeration(case):
+    """The exact hypergeometric E[I] must equal the N!-permutation average."""
+    relation = Relation(["zip", "city"], TINY_CORPUS[case])
+    statistics = FdStatistics.compute(relation, FD)
+    assert not statistics.satisfied
+    brute_force = expected_value_by_enumeration(statistics.xy_counts, mutual_information)
+    x_counts = list(statistics.x_counts.values())
+    y_counts = list(statistics.y_counts.values())
+    exact = expected_mutual_information_exact(x_counts, y_counts)
+    assert exact == pytest.approx(brute_force, abs=1e-9)
+    # The spectrum sum is independent of the order of the counts.
+    assert expected_mutual_information_exact(x_counts[::-1], y_counts[::-1]) == exact
+
+    h_y = entropy2(y_counts)
+    fi = 1.0 - (entropy2(list(statistics.xy_counts.values())) - entropy2(x_counts)) / h_y
+    expected_fi = brute_force / h_y
+    rfi = get_measure("rfi_plus").score(relation, FD)
+    rfi_prime = get_measure("rfi_prime_plus").score(relation, FD)
+    assert rfi == pytest.approx(max(fi - expected_fi, 0.0), abs=1e-9)
     assert rfi_prime == pytest.approx(
-        max((FI - expected_fi) / (1 - expected_fi), 0.0), abs=1e-9
+        max((fi - expected_fi) / (1 - expected_fi), 0.0), abs=1e-9
     )
 
 
@@ -136,24 +150,20 @@ def test_single_rhs_value_is_satisfied():
         assert measure.score(relation, FD) == 1.0, name
 
 
-@requires_numpy
 def test_independence_pushes_corrected_measures_to_zero():
     """On an X-independent Y column the chance-corrected measures vanish."""
     rows = [(i % 10, (i // 10) % 10) for i in range(400)]  # full 10x10 grid, 4x each
     relation = Relation(["zip", "city"], [(str(x), str(y)) for x, y in rows])
     assert get_measure("mu_plus").score(relation, FD) == pytest.approx(0.0, abs=0.05)
     assert get_measure("tau").score(relation, FD) == pytest.approx(0.0, abs=0.05)
-    assert get_measure("rfi_plus", expectation="monte-carlo", mc_samples=50).score(
-        relation, FD
-    ) == pytest.approx(0.0, abs=0.05)
+    assert get_measure("rfi_plus").score(relation, FD) == pytest.approx(0.0, abs=0.05)
 
 
-@requires_numpy
 def test_scores_stay_in_unit_interval_on_noisy_relation():
     rows = [(str(i % 7), str((i * 13 + i // 7) % 5)) for i in range(200)]
     relation = Relation(["zip", "city"], rows)
     statistics = FdStatistics.compute(relation, FD)
-    for name, measure in all_measures(expectation="monte-carlo", mc_samples=30).items():
+    for name, measure in all_measures().items():
         score = measure.score_from_statistics(statistics)
         assert 0.0 <= score <= 1.0, name
 

@@ -13,11 +13,16 @@ Contracts under test:
 * an 8-worker sharded server is bit-identical (volatile timing fields
   aside — :func:`stable_view`) to single-process serial serving over
   plain ``urllib``, including under concurrent clients, and deltas
-  route to (only) the owning shard.
+  route to (only) the owning shard;
+* a worker killed mid-request fails that request and every later one
+  with an ``internal_error`` envelope instead of hanging its shard.
 """
 
 import json
+import os
+import signal
 import threading
+import time
 import urllib.error
 import urllib.request
 from collections import Counter
@@ -125,7 +130,9 @@ def test_dispatcher_coalesces_queued_scores_into_one_batch():
     pool = ShardPool(1)
     try:
         readers = {}
-        dispatcher = ShardDispatcher(pool, lambda conn, cb: readers.update(cb=cb))
+        dispatcher = ShardDispatcher(
+            pool, lambda conn, cb: readers.update(cb=cb), lambda conn: None
+        )
         connection = pool.connections[0]
 
         registered = []
@@ -279,3 +286,47 @@ def test_sharded_deltas_route_to_owning_worker(serial_and_sharded):
         if worker_id == owner:
             entry = next(e for e in body["relations"] if e["name"] == "stream")
             assert entry["epoch"] == 1
+
+
+# ----------------------------------------------------------------------
+# A dead worker
+# ----------------------------------------------------------------------
+def _get_error(url):
+    """GET ``url`` expecting an error envelope → ``(status, body)``."""
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(url, timeout=5)
+    return excinfo.value.code, json.loads(excinfo.value.read())
+
+
+def test_killed_worker_answers_internal_error_instead_of_hanging():
+    server, pool = make_sharded_server(workers=1)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    url = "http://{0}:{1}/v1/relations".format(*server.server_address)
+    try:
+        # Stop the worker first, so the kill lands while a request is in
+        # flight (the dispatcher marks the worker busy) — deterministically.
+        worker = pool.pids()[0]
+        os.kill(worker, signal.SIGSTOP)
+        inflight = {}
+        client = threading.Thread(
+            target=lambda: inflight.update(answer=_get_error(url)), daemon=True
+        )
+        client.start()
+        deadline = time.monotonic() + 5
+        while not server.handler.dispatcher.stats()["busy"][0]:
+            assert time.monotonic() < deadline, "request never reached the worker"
+            time.sleep(0.01)
+        os.kill(worker, signal.SIGKILL)
+        client.join(timeout=5)
+        assert inflight["answer"][0] == 500
+        assert inflight["answer"][1]["error"]["code"] == "internal_error"
+        started = time.monotonic()
+        for _ in range(2):
+            status, body = _get_error(url)
+            assert status == 500 and body["error"]["code"] == "internal_error"
+        assert time.monotonic() - started < 5
+    finally:
+        server.shutdown()
+        thread.join(timeout=10)
+        server.server_close()
